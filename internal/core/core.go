@@ -619,9 +619,9 @@ func (n *Node) OnVerified(v *message.Verified, now time.Time) Output {
 		if !ok {
 			return out // forged Verified; preverify never builds this
 		}
-		out = n.applyClientRequest(req, now)
+		out = n.applyClientRequest(req, v.Ref, now)
 	} else {
-		out = n.applyNodeMessage(v.Msg, v.From, now)
+		out = n.applyNodeMessage(v.Msg, v.From, v.Ref, now)
 	}
 	n.observeIO(v.Msg, &out)
 	return out
@@ -665,8 +665,9 @@ func (n *Node) OnIngressFailure(f IngressFailure, now time.Time) Output {
 	return out
 }
 
-// applyClientRequest processes a preverified client REQUEST.
-func (n *Node) applyClientRequest(req *message.Request, now time.Time) Output {
+// applyClientRequest processes a preverified client REQUEST; ref is its
+// ordering identifier as preverify computed it.
+func (n *Node) applyClientRequest(req *message.Request, ref types.RequestRef, now time.Time) Output {
 	var out Output
 	if n.behavior.Silent {
 		return out
@@ -708,14 +709,13 @@ func (n *Node) applyClientRequest(req *message.Request, now time.Time) Output {
 	if cs.isExecuted(req.ID) {
 		return out
 	}
-	out.merge(n.propagateOwn(req, now))
+	out.merge(n.propagateOwn(req, ref, now))
 	return out
 }
 
 // propagateOwn runs the Propagation module for a locally verified request.
-func (n *Node) propagateOwn(req *message.Request, now time.Time) Output {
+func (n *Node) propagateOwn(req *message.Request, ref types.RequestRef, now time.Time) Output {
 	var out Output
-	ref := req.Ref()
 	if !n.storeBody(ref, req, now) {
 		return out
 	}
@@ -724,7 +724,7 @@ func (n *Node) propagateOwn(req *message.Request, now time.Time) Output {
 		senders[n.cfg.Node] = true
 		if !n.behavior.DropPropagate {
 			p := &message.Propagate{Req: *n.bodies[ref], Node: n.cfg.Node}
-			p.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, p.Body())
+			p.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, p.DigestBody(ref.Digest))
 			out.NodeMsgs = append(out.NodeMsgs, NodeSend{Msg: p})
 		}
 	}
@@ -769,8 +769,9 @@ func (n *Node) nicClosed(from types.NodeID, now time.Time) bool {
 }
 
 // applyNodeMessage processes a preverified message from another node:
-// PROPAGATE, the per-instance protocol messages, and INSTANCE-CHANGE.
-func (n *Node) applyNodeMessage(msg message.Message, from types.NodeID, now time.Time) Output {
+// PROPAGATE, the per-instance protocol messages, and INSTANCE-CHANGE. ref is
+// the preverified ordering identifier of a PROPAGATE's request.
+func (n *Node) applyNodeMessage(msg message.Message, from types.NodeID, ref types.RequestRef, now time.Time) Output {
 	var out Output
 	if n.behavior.Silent {
 		return out
@@ -781,7 +782,7 @@ func (n *Node) applyNodeMessage(msg message.Message, from types.NodeID, now time
 
 	switch m := msg.(type) {
 	case *message.Propagate:
-		return n.applyPropagate(m, from, now)
+		return n.applyPropagate(m, ref, from, now)
 
 	case *message.InstanceChange:
 		return n.onInstanceChange(m, now)
@@ -792,10 +793,9 @@ func (n *Node) applyNodeMessage(msg message.Message, from types.NodeID, now time
 }
 
 // applyPropagate processes a preverified PROPAGATE (MAC and the embedded
-// request's client signature both already checked).
-func (n *Node) applyPropagate(p *message.Propagate, from types.NodeID, now time.Time) Output {
+// request's client signature both already checked) whose request is ref.
+func (n *Node) applyPropagate(p *message.Propagate, ref types.RequestRef, from types.NodeID, now time.Time) Output {
 	var out Output
-	ref := p.Req.Ref()
 	cs := n.client(p.Req.Client, now)
 	if cs.blacklisted {
 		return out
@@ -817,7 +817,7 @@ func (n *Node) applyPropagate(p *message.Propagate, from types.NodeID, now time.
 		senders[n.cfg.Node] = true
 		if !n.behavior.DropPropagate {
 			echo := &message.Propagate{Req: p.Req, Node: n.cfg.Node}
-			echo.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, echo.Body())
+			echo.Auth = n.keys.AuthenticatorForNodes(n.cfg.Cluster.N, echo.DigestBody(ref.Digest))
 			out.NodeMsgs = append(out.NodeMsgs, NodeSend{Msg: echo})
 		}
 	}

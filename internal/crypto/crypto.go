@@ -8,6 +8,17 @@
 // PROPAGATE phase) wrapped in a MAC authenticator (so that a flood of bogus
 // requests is rejected at MAC cost, an order of magnitude cheaper than
 // signature verification).
+//
+// A MAC is HMAC-SHA256 computed from the pair key's precomputed inner and
+// outer midstates (keycache.go): no hmac.New, no per-call allocation. What a
+// REQUEST or PROPAGATE authenticator covers is not the full operation but
+// tag‖client‖id‖OpDigest‖sig, where OpDigest = SHA-256(client‖id‖op) — PBFT's
+// digest-authenticator construction. A forger who keeps a valid tag while
+// changing the operation would need a second operation with the same
+// OpDigest, i.e. a SHA-256 collision; ordering already names requests by that
+// digest, so the MAC assumes nothing the protocol did not. In exchange each
+// receiver hashes a request's bytes once, however many MACs and cache
+// lookups it runs.
 package crypto
 
 import (
@@ -59,8 +70,8 @@ type KeyRing struct {
 	store   *KeyStore
 	secret  []byte
 	fast    bool
-	// cache memoises derived pair keys (see batch.go); verifier goroutines
-	// share the ring, so the cache carries its own lock.
+	// cache memoises derived pair-key MAC midstates (see keycache.go);
+	// verifier goroutines share the ring, so the cache carries its own lock.
 	cache keyCache
 }
 
@@ -181,14 +192,6 @@ func pairKey(secret []byte, a, b principal) []byte {
 	return h.Sum(nil)
 }
 
-func computeMAC(key, data []byte) MAC {
-	h := hmac.New(sha256.New, key)
-	h.Write(data)
-	var tag MAC
-	copy(tag[:], h.Sum(nil))
-	return tag
-}
-
 // fastSum is the simulation-only body checksum: FNV-1a over the ring secret
 // and the data. Computed once per message; per-principal tags mix it with
 // the pair identity (see fastMix).
@@ -231,7 +234,10 @@ func (r *KeyRing) pairMAC(a, b principal, data []byte) MAC {
 		}
 		return MAC(fastMix(fastSum(r.secret, data), uint64(a)<<20^uint64(b)))
 	}
-	return computeMAC(r.pairKeyCached(a, b), data)
+	s := hashPool.Get().(*hashState)
+	tag := s.mac(r.pairKeyCached(a, b), data)
+	hashPool.Put(s)
+	return tag
 }
 
 // MACForNode authenticates data for a single receiving node.
@@ -283,9 +289,11 @@ func (r *KeyRing) AuthenticatorForNodes(n int, data []byte) Authenticator {
 		}
 		return auth
 	}
+	s := hashPool.Get().(*hashState)
 	for i := 0; i < n; i++ {
-		auth[i] = r.MACForNode(types.NodeID(i), data)
+		auth[i] = s.mac(r.pairKeyCached(r.self, nodePrincipal(types.NodeID(i))), data)
 	}
+	hashPool.Put(s)
 	return auth
 }
 

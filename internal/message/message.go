@@ -2,10 +2,12 @@
 //
 // Each message type carries its own authentication material (a signature, a
 // single MAC, or a MAC authenticator with one entry per node). Authentication
-// always covers the message body — the encoding of every field except the
+// covers the message body — the encoding of every field except the
 // authentication material itself — which the Body method exposes so senders
 // can authenticate and receivers can verify without re-implementing the
-// codec.
+// codec. REQUEST and PROPAGATE are the exception: their MACs cover the
+// request's op digest in place of the op (Request.Body), so a receiver
+// hashes each request once.
 //
 // Encoding is allocation-disciplined: every message knows its exact encoded
 // length (EncodedSize) and Marshal appends in place, so marshalling into a
@@ -75,8 +77,9 @@ type Message interface {
 	// Marshal appends the full wire encoding (type tag, body,
 	// authentication material) to dst and returns the result.
 	Marshal(dst []byte) []byte
-	// Body returns the authenticated portion of the encoding: type tag and
-	// all fields except the authentication material.
+	// Body returns the bytes the authentication material covers: type tag
+	// and all fields except the authentication material, with a REQUEST's
+	// op replaced by its digest (Request.Body).
 	Body() []byte
 	// EncodedSize returns the exact length Marshal will append: the size
 	// hint that lets callers marshal without growing the destination.
@@ -119,15 +122,11 @@ func (m *Request) Ref() types.RequestRef {
 }
 
 // OpDigest hashes the request operation together with its origin, binding the
-// digest to the (client, id) pair.
+// digest to the (client, id) pair. It is recomputed on every call, never
+// memoised: Request is copied by value, and a memo carried into a copy whose
+// Op was then changed would vouch for bytes it never hashed.
 func (m *Request) OpDigest() types.Digest {
-	var hdr [16]byte
-	putU64(hdr[0:], uint64(m.Client))
-	putU64(hdr[8:], uint64(m.ID))
-	buf := make([]byte, 0, 16+len(m.Op))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, m.Op...)
-	return crypto.Digest(buf)
+	return crypto.DigestIDs(uint64(m.Client), uint64(m.ID), m.Op)
 }
 
 func (m *Request) signedBodySize() int { return 1 + 8 + 8 + 4 + len(m.Op) }
@@ -152,9 +151,28 @@ func (m *Request) appendBody(b []byte) []byte {
 	return appendBytes(b, m.Sig)
 }
 
-// Body implements Message. The MAC authenticator covers the signed body plus
-// the signature, so a tampered signature is caught at MAC cost.
-func (m *Request) Body() []byte { return m.appendBody(make([]byte, 0, m.bodySize())) }
+func (m *Request) digestBodySize() int { return 1 + 8 + 8 + types.DigestSize + 4 + len(m.Sig) }
+
+func (m *Request) appendDigestBody(b []byte, d types.Digest) []byte {
+	b = appendU8(b, uint8(m.tag()))
+	b = appendU64(b, uint64(m.Client))
+	b = appendU64(b, uint64(m.ID))
+	b = appendDigest(b, d)
+	return appendBytes(b, m.Sig)
+}
+
+// Body implements Message. Unlike other messages, what a REQUEST's MAC
+// authenticator covers is not a prefix of its encoding but
+// tag‖client‖id‖OpDigest‖sig. The op enters only through its digest, PBFT's
+// digest-authenticator construction: a changed op keeps a valid MAC only if
+// it has the same SHA-256 OpDigest, which collision resistance rules out and
+// which ordering already relies on. The signature is covered, so a tampered
+// signature is caught at MAC cost; the tag is covered, so the read-only flag
+// cannot be flipped. Preverify, which already holds the digest, builds the
+// same bytes without hashing the op again.
+func (m *Request) Body() []byte {
+	return m.appendDigestBody(make([]byte, 0, m.digestBodySize()), m.OpDigest())
+}
 
 // EncodedSize implements Message.
 func (m *Request) EncodedSize() int { return m.bodySize() + authSize(m.Auth) }
@@ -192,8 +210,21 @@ func (m *Propagate) appendBody(b []byte) []byte {
 	return appendBytes(b, m.Req.Sig)
 }
 
-// Body implements Message.
-func (m *Propagate) Body() []byte { return m.appendBody(make([]byte, 0, m.bodySize())) }
+// DigestBody returns what the PROPAGATE's MAC authenticator covers, given
+// d = Req.OpDigest(): PROPAGATE tag‖node‖ the embedded request's Body. See
+// Request.Body for why the digest stands in for the op.
+func (m *Propagate) DigestBody(d types.Digest) []byte {
+	return m.appendDigestBody(make([]byte, 0, 1+8+m.Req.digestBodySize()), d)
+}
+
+func (m *Propagate) appendDigestBody(b []byte, d types.Digest) []byte {
+	b = appendU8(b, uint8(TypePropagate))
+	b = appendU64(b, uint64(m.Node))
+	return m.Req.appendDigestBody(b, d)
+}
+
+// Body implements Message: DigestBody(Req.OpDigest()).
+func (m *Propagate) Body() []byte { return m.DigestBody(m.Req.OpDigest()) }
 
 // EncodedSize implements Message.
 func (m *Propagate) EncodedSize() int { return m.bodySize() + authSize(m.Auth) }

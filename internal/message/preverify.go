@@ -95,20 +95,25 @@ type Verified struct {
 	FromClient bool
 	Client     types.ClientID
 	From       types.NodeID
+	// Ref is the ordering identifier of a REQUEST (client arm) or of the
+	// request a PROPAGATE carries, its digest computed once by preverify;
+	// zero for every other message.
+	Ref types.RequestRef
 	// SigCached reports whether the request-signature check was served from
 	// the verification cache (observability only).
 	SigCached bool
 }
 
-// VerifyCache memoises request-signature verification outcomes, keyed by a
-// digest over the signed body and the signature bytes. RBFT propagates every
-// request to f+1 protocol instances and clients retransmit aggressively, so
-// the same signature reaches a node many times; the cache collapses those to
-// one Ed25519 verification plus one hash per copy. Keying by content digest
-// makes the cache tamper-proof: any mutation of the body or signature
-// changes the key, so a tampered message can never be served a stale "valid"
-// verdict. Outcomes (including failures) are deterministic for fixed bytes,
-// so caching them is sound.
+// VerifyCache memoises request-signature verification outcomes, keyed by
+// SHA-256(tag‖OpDigest‖sig) (sigCacheKey). RBFT propagates every request to
+// f+1 protocol instances and clients retransmit aggressively, so the same
+// signature reaches a node many times; the cache collapses those to one
+// Ed25519 verification. The key reuses the op digest preverify computes
+// anyway, so a hit costs one short hash, not a pass over the op. Keying by
+// content digest makes the cache tamper-proof: any mutation of the signed
+// body or signature changes the key, so a tampered message can never be
+// served a stale "valid" verdict. Outcomes (including failures) are
+// deterministic for fixed bytes, so caching them is sound.
 //
 // The cache is concurrency-safe; verifier worker goroutines share one
 // instance per node.
@@ -244,9 +249,11 @@ func (p *Preverifier) PreverifyNodeFrame(raw []byte, from types.NodeID) (*Verifi
 }
 
 // PreverifyClient preverifies a decoded client-NIC message: only REQUESTs
-// arrive there, carrying a MAC authenticator over the signed body and a
-// client signature. MAC first: rejecting garbage at MAC cost is the
-// Aardvark/RBFT flood defence's core economics.
+// arrive there, carrying a client signature and a MAC authenticator over the
+// digest body (Request.Body). MAC first: rejecting garbage at MAC cost
+// is the Aardvark/RBFT flood defence's core economics. The op is hashed
+// exactly once; the MAC, the signature-cache key and Verified.Ref all reuse
+// that digest.
 func (p *Preverifier) PreverifyClient(msg Message, claimed types.ClientID) (*Verified, error) {
 	req, ok := msg.(*Request)
 	if !ok {
@@ -255,18 +262,21 @@ func (p *Preverifier) PreverifyClient(msg Message, claimed types.ClientID) (*Ver
 	if req.Client != claimed {
 		return nil, failKind(FailWrongSender, fmt.Errorf("request claims client %d, sent by %d", req.Client, claimed))
 	}
-	if err := p.ring.VerifyClientAuthenticatorEntry(req.Client, p.self, req.Body(), req.Auth); err != nil {
+	ref := req.Ref()
+	var buf [digestBodyBuf]byte
+	if err := p.ring.VerifyClientAuthenticatorEntry(req.Client, p.self, req.appendDigestBody(buf[:0], ref.Digest), req.Auth); err != nil {
 		return nil, failKind(FailBadMAC, err)
 	}
-	cached, err := p.requestSigOK(req)
+	cached, err := p.requestSigOK(req, ref.Digest)
 	if err != nil {
 		return nil, err
 	}
-	return &Verified{Msg: req, FromClient: true, Client: claimed, SigCached: cached}, nil
+	return &Verified{Msg: req, FromClient: true, Client: claimed, Ref: ref, SigCached: cached}, nil
 }
 
 // PreverifyNode preverifies a decoded node-NIC message from peer from.
 func (p *Preverifier) PreverifyNode(msg Message, from types.NodeID) (*Verified, error) {
+	var ref types.RequestRef
 	// Every arm must authenticate msg before the Verified value is built.
 	//rbft:dispatch
 	switch m := msg.(type) {
@@ -282,13 +292,15 @@ func (p *Preverifier) PreverifyNode(msg Message, from types.NodeID) (*Verified, 
 		if m.Node != from {
 			return nil, failKind(FailWrongSender, fmt.Errorf("PROPAGATE claims node %d, sent by %d", m.Node, from))
 		}
-		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, m.Body(), m.Auth); err != nil {
+		ref = m.Req.Ref()
+		var buf [digestBodyBuf]byte
+		if err := p.ring.VerifyAuthenticatorEntry(from, p.self, m.appendDigestBody(buf[:0], ref.Digest), m.Auth); err != nil {
 			return nil, failKind(FailBadMAC, err)
 		}
 		// The embedded request's client signature is what the PROPAGATE
 		// phase exists to transfer; verify it here (cached) so the apply
 		// stage can adopt the body without any crypto.
-		if _, err := p.requestSigOK(&m.Req); err != nil {
+		if _, err := p.requestSigOK(&m.Req, ref.Digest); err != nil {
 			return nil, err
 		}
 	case *InstanceChange:
@@ -313,15 +325,13 @@ func (p *Preverifier) PreverifyNode(msg Message, from types.NodeID) (*Verified, 
 			return nil, failKind(FailBadMAC, err)
 		}
 		// The embedded VIEW-CHANGE proofs are signed by their originators;
-		// batch-verify them here so the instance can install the view
-		// without re-running 2f+1 signature checks.
-		jobs := make([]crypto.SigJob, 0, len(m.ViewChanges))
+		// verify them here so the instance can install the view without
+		// re-running 2f+1 signature checks.
 		for i := range m.ViewChanges {
 			vc := &m.ViewChanges[i]
-			jobs = append(jobs, crypto.SigJob{Node: vc.Node, Data: vc.Body(), Sig: vc.Sig})
-		}
-		if err := p.ring.VerifyNodeSignatureBatch(jobs); err != nil {
-			return nil, failKind(FailBadSig, err)
+			if err := p.ring.VerifyNodeSignature(vc.Node, vc.Body(), vc.Sig); err != nil {
+				return nil, failKind(FailBadSig, err)
+			}
 		}
 	case *PrePrepare, *Prepare, *Commit, *Checkpoint, *Fetch, *FetchResp:
 		if err := p.checkInstanceSender(msg, from); err != nil {
@@ -333,8 +343,13 @@ func (p *Preverifier) PreverifyNode(msg Message, from types.NodeID) (*Verified, 
 	default:
 		return nil, failKind(FailMalformed, fmt.Errorf("unhandled message type %s", msg.MsgType()))
 	}
-	return &Verified{Msg: msg, From: from}, nil
+	return &Verified{Msg: msg, From: from, Ref: ref}, nil
 }
+
+// digestBodyBuf sizes the stack buffer preverify builds REQUEST and
+// PROPAGATE MAC inputs in: a PROPAGATE's digest body with an Ed25519
+// signature. Longer (invalid) signatures spill to the heap.
+const digestBodyBuf = 1 + 8 + 1 + 8 + 8 + types.DigestSize + 4 + crypto.SignatureSize
 
 // checkInstanceSender validates the claimed sender and instance id of a
 // per-instance protocol message.
@@ -352,18 +367,18 @@ func (p *Preverifier) checkInstanceSender(msg Message, from types.NodeID) error 
 	return nil
 }
 
-// requestSigOK verifies the client signature of a request through the cache.
-// It reports whether the verdict was served from cache.
-func (p *Preverifier) requestSigOK(req *Request) (cached bool, err error) {
-	body := req.SignedBody()
-	key := sigCacheKey(body, req.Sig)
+// requestSigOK verifies the client signature of a request through the cache,
+// given d = req.OpDigest(). It reports whether the verdict was served from
+// cache. Only a miss materialises the signed body.
+func (p *Preverifier) requestSigOK(req *Request, d types.Digest) (cached bool, err error) {
+	key := sigCacheKey(req.tag(), d, req.Sig)
 	if ok, hit := p.cache.lookup(key); hit {
 		if !ok {
 			return true, failKind(FailBadSig, crypto.ErrBadSignature)
 		}
 		return true, nil
 	}
-	verr := p.ring.VerifyClientSignature(req.Client, body, req.Sig)
+	verr := p.ring.VerifyClientSignature(req.Client, req.SignedBody(), req.Sig)
 	p.cache.store(key, verr == nil)
 	if verr != nil {
 		return false, failKind(FailBadSig, verr)
@@ -371,13 +386,17 @@ func (p *Preverifier) requestSigOK(req *Request) (cached bool, err error) {
 	return false, nil
 }
 
-// sigCacheKey digests the signed body together with the signature, binding
-// the cache entry to the exact bytes that were verified.
-func sigCacheKey(body, sig []byte) types.Digest {
-	buf := make([]byte, 0, len(body)+len(sig))
-	buf = append(buf, body...)
-	buf = append(buf, sig...)
-	return crypto.Digest(buf)
+// sigCacheKey binds a cache entry to the exact signed body and signature:
+// SHA-256(tag‖d‖sig) with d the request's OpDigest. d covers client, id and
+// op and the tag carries the read-only flag, so the key changes whenever any
+// signed byte does, as a hash of the full signed body would. The key stays
+// 32 bytes: the cache holds thousands of entries per node.
+func sigCacheKey(tag Type, d types.Digest, sig []byte) types.Digest {
+	var buf [1 + types.DigestSize + crypto.SignatureSize]byte
+	b := append(buf[:0], byte(tag))
+	b = append(b, d[:]...)
+	b = append(b, sig...)
+	return crypto.Digest(b)
 }
 
 // InstanceAndSender extracts the instance id and claimed sender of a

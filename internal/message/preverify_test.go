@@ -1,7 +1,10 @@
 package message
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"rbft/internal/crypto"
 	"rbft/internal/obs"
@@ -178,5 +181,179 @@ func TestVerifyCacheEviction(t *testing.T) {
 	}
 	if !v.SigCached {
 		t.Fatal("resident verdict not served from cache")
+	}
+}
+
+// TestPropagateWithChangedOpFailsMAC: the PROPAGATE MAC covers the embedded
+// op through its digest, so a node that swaps the op and keeps the MAC it
+// computed over the genuine request is caught at MAC cost, before any
+// signature work.
+func TestPropagateWithChangedOpFailsMAC(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	p := propagateOf(ks, 1, signedRequest(ks, 1, 5, []byte("genuine")))
+	p.Req.Op = []byte("Genuine")
+	if _, err := pre.PreverifyNode(p, 1); FailKindOf(err) != FailBadMAC {
+		t.Fatalf("changed op under the old MAC: got %v, want bad-mac", err)
+	}
+	if h, m := pre.Cache().Stats(); h != 0 || m != 0 {
+		t.Fatalf("hits=%d misses=%d: a MAC failure must not reach the signature cache", h, m)
+	}
+}
+
+// TestReadOnlyFlipFailsMAC: the wire tag carries the read-only flag and is
+// part of what REQUEST and PROPAGATE MACs cover.
+func TestReadOnlyFlipFailsMAC(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	req := signedRequest(ks, 1, 6, []byte("get k"))
+	flipped := *req
+	flipped.ReadOnly = true
+	if _, err := pre.PreverifyClient(&flipped, 1); FailKindOf(err) != FailBadMAC {
+		t.Fatalf("flipped read-only flag on REQUEST: got %v, want bad-mac", err)
+	}
+	p := propagateOf(ks, 1, req)
+	p.Req.ReadOnly = true
+	if _, err := pre.PreverifyNode(p, 1); FailKindOf(err) != FailBadMAC {
+		t.Fatalf("flipped read-only flag in PROPAGATE: got %v, want bad-mac", err)
+	}
+}
+
+// TestVerifiedRefMatchesRequestRef: preverify hands the apply stage the
+// request's ordering identifier on both arms a request can arrive by.
+func TestVerifiedRefMatchesRequestRef(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	req := signedRequest(ks, 2, 9, []byte("put k v"))
+	v, err := pre.PreverifyClient(req, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Ref != req.Ref() {
+		t.Fatalf("client arm: Verified.Ref %+v, want %+v", v.Ref, req.Ref())
+	}
+	v, err = pre.PreverifyNode(propagateOf(ks, 3, req), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Ref != req.Ref() {
+		t.Fatalf("PROPAGATE arm: Verified.Ref %+v, want %+v", v.Ref, req.Ref())
+	}
+}
+
+// TestCopiedRequestGetsFreshDigest pins that the op digest is never memoised
+// on Request: a struct copy whose op is then changed must hash the new op,
+// or a tampered copy could inherit the original's digest and cached verdict.
+func TestCopiedRequestGetsFreshDigest(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	req := signedRequest(ks, 1, 11, []byte("original"))
+	if _, err := pre.PreverifyClient(req, 1); err != nil {
+		t.Fatal(err)
+	}
+	copied := *req
+	copied.Op = []byte("mutated")
+	var hdr [16]byte
+	putU64(hdr[0:], uint64(copied.Client))
+	putU64(hdr[8:], uint64(copied.ID))
+	want := crypto.Digest(append(hdr[:], copied.Op...))
+	if got := copied.OpDigest(); got != want || got == req.OpDigest() {
+		t.Fatalf("copied request digest %x, want fresh %x", got, want)
+	}
+	// Re-signed and re-MAC'd by its client, the copy is a valid request in
+	// its own right; preverify must name it by its own digest.
+	copied.Sig = ks.ClientRing(1).Sign(copied.SignedBody())
+	copied.Auth = ks.ClientRing(1).AuthenticatorForNodes(testN, copied.Body())
+	v, err := pre.PreverifyClient(&copied, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Ref.Digest != want || v.SigCached {
+		t.Fatalf("copy verified as %+v (cached=%v), want digest %x from a fresh check", v.Ref, v.SigCached, want)
+	}
+}
+
+// TestSigCacheKeyIs32Bytes pins the cache key at one SHA-256 output: a wider
+// key (say, the digest and signature side by side) multiplies the resident
+// size of a cache holding thousands of entries per node.
+func TestSigCacheKeyIs32Bytes(t *testing.T) {
+	c := NewVerifyCache(1)
+	if size := reflect.TypeOf(c.entries).Key().Size(); size != 32 {
+		t.Fatalf("signature-cache key is %d bytes, want 32", size)
+	}
+	if size := unsafe.Sizeof(sigCacheKey(TypeRequest, types.Digest{}, nil)); size != 32 {
+		t.Fatalf("sigCacheKey returns %d bytes, want 32", size)
+	}
+}
+
+// hotRequest is a warm-cache fixture: a 4 KB request whose MAC keys are
+// derived and whose signature verdict is cached.
+func hotRequest(tb testing.TB) (*Preverifier, *Request, []byte) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	pre.ring.WarmPairKeys(testN, 8)
+	req := signedRequest(ks, 1, 1, bytes.Repeat([]byte{0xab}, 4096))
+	if _, err := pre.PreverifyClient(req, 1); err != nil {
+		tb.Fatal(err)
+	}
+	return pre, req, req.Marshal(nil)
+}
+
+// TestAuthenticatorAllocs is the allocation gate of the ingress crypto: a
+// MAC verification allocates nothing, an authenticator only its slice, and
+// preverifying a request whose signature verdict is cached allocates no more
+// than decoding it did.
+func TestAuthenticatorAllocs(t *testing.T) {
+	pre, req, frame := hotRequest(t)
+	body := req.Body()
+	if n := testing.AllocsPerRun(100, func() {
+		if pre.ring.VerifyClientAuthenticatorEntry(1, 0, body, req.Auth) != nil {
+			t.Fatal("MAC rejected")
+		}
+	}); n != 0 {
+		t.Errorf("MAC verify: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = pre.ring.AuthenticatorForNodes(testN, body)
+	}); n > 1 {
+		t.Errorf("AuthenticatorForNodes: %v allocs, want <= 1", n)
+	}
+	decode := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	hit := testing.AllocsPerRun(100, func() {
+		if v, err := pre.PreverifyClient(req, 1); err != nil || !v.SigCached {
+			t.Fatal("cached request not served from the cache")
+		}
+	})
+	if hit > decode {
+		t.Errorf("PreverifyClient cache hit: %v allocs, decode alone %v", hit, decode)
+	}
+}
+
+func BenchmarkPreverifyHit(b *testing.B) {
+	pre, req, _ := hotRequest(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pre.PreverifyClient(req, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPreverifyMiss runs without a cache, so every call pays the full
+// Ed25519 verification.
+func BenchmarkPreverifyMiss(b *testing.B) {
+	_, req, _ := hotRequest(b)
+	pre := NewPreverifier(testKeys().NodeRing(0), 0, types.NewConfig(1), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pre.PreverifyClient(req, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -59,8 +59,10 @@ type Endpoint struct {
 	closed sync.Once
 	done   bool                 // guarded by mu
 	barred map[string]time.Time // guarded by mu; peer -> drop-inbound-until deadline
-	// metrics is set once before the endpoint carries traffic; the counters
-	// themselves are internally atomic.
+	// metrics is set by SetMetrics under mu. A restarted endpoint is
+	// visible to peers before SetMetrics runs, so peers touch it only under
+	// mu; the endpoint's own sends start after SetMetrics and read it
+	// unlocked. The counters themselves are internally atomic.
 	metrics transport.Metrics
 	mu      sync.Mutex
 }
@@ -71,9 +73,19 @@ var (
 	_ transport.BatchSender = (*Endpoint)(nil)
 )
 
-// SetMetrics installs transport counters. Call before the endpoint carries
-// traffic.
-func (e *Endpoint) SetMetrics(m transport.Metrics) { e.metrics = m }
+// SetMetrics installs transport counters. Call before the endpoint sends.
+func (e *Endpoint) SetMetrics(m transport.Metrics) {
+	e.mu.Lock()
+	e.metrics = m
+	e.mu.Unlock()
+}
+
+// countDropped records a frame for e that a sender's drop rule discarded.
+func (e *Endpoint) countDropped() {
+	e.mu.Lock()
+	e.metrics.Dropped.Inc()
+	e.mu.Unlock()
+}
 
 // ClosePeer implements transport.PeerCloser: inbound frames from peer are
 // discarded until the deadline (RBFT flood defence).
@@ -106,7 +118,7 @@ func (e *Endpoint) Send(to string, data []byte) error {
 		return fmt.Errorf("%w: %q", transport.ErrUnknownPeer, to)
 	}
 	if drop != nil && drop(e.name, to, data) {
-		dst.metrics.Dropped.Inc()
+		dst.countDropped()
 		return nil // silently dropped (fault injection)
 	}
 	e.metrics.BytesOut.Add(uint64(len(data)))
@@ -167,7 +179,7 @@ func (e *Endpoint) SendBatch(to string, payloads [][]byte) error {
 	}
 	frame := transport.AppendBatch(make([]byte, 0, size), payloads)
 	if drop != nil && drop(e.name, to, frame) {
-		dst.metrics.Dropped.Inc()
+		dst.countDropped()
 		return nil // silently dropped (fault injection)
 	}
 	e.metrics.BytesOut.Add(uint64(total))

@@ -21,7 +21,10 @@ echo "== go test ./... =="
 go test ./...
 
 echo "== go test -race (concurrent packages) =="
-go test -race ./internal/runtime/... ./internal/transport/... ./internal/client/... ./internal/obs/... ./internal/wal/... ./internal/exec/...
+go test -race ./internal/runtime/... ./internal/transport/... ./internal/client/... ./internal/obs/... ./internal/wal/... ./internal/exec/... ./internal/crypto/... ./internal/message/...
+
+echo "== perfbench (live-cluster benchmark self-tests, own module) =="
+(cd perfbench && go test ./...)
 
 echo "== fuzz smoke (internal/message, internal/wal, internal/transport, internal/core, internal/exec, internal/client) =="
 go test ./internal/message -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s
@@ -32,9 +35,10 @@ go test ./internal/core -run '^$' -fuzz '^FuzzMergeSchedule$' -fuzztime 5s
 go test ./internal/exec -run '^$' -fuzz '^FuzzWaveSchedule$' -fuzztime 5s
 go test ./internal/client -run '^$' -fuzz '^FuzzReadQuorum$' -fuzztime 5s
 
-echo "== allocation gate (zero-alloc steady-state encode, docs/EGRESS.md) =="
-go test ./internal/message -run '^TestEncodeZeroAlloc$' -count=1 -v
-go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode)$' -benchtime 100x -benchmem
+echo "== allocation gate (zero-alloc steady-state encode, docs/EGRESS.md; zero-alloc MACs, docs/PIPELINE.md) =="
+go test ./internal/message -run '^(TestEncodeZeroAlloc|TestAuthenticatorAllocs)$' -count=1 -v
+go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode|BenchmarkPreverifyHit|BenchmarkPreverifyMiss)$' -benchtime 100x -benchmem
+go test ./internal/crypto -run '^$' -bench '^BenchmarkAuthenticator$' -benchtime 100x -benchmem
 go test ./internal/runtime -run '^$' -bench '^BenchmarkEgress$' -benchtime 100x -benchmem
 
 echo "== span-record gate (tracing-off cost must stay trivial) =="
