@@ -3,9 +3,9 @@
 package app
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"sync"
 
 	"rbft/internal/types"
@@ -157,7 +157,7 @@ func NewKV() *KV {
 }
 
 // shardOf maps a key to its segment (FNV-1a, masked).
-func (kv *KV) shardOf(key string) *kvShard {
+func (kv *KV) shardOf(key []byte) *kvShard {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
@@ -182,33 +182,35 @@ const (
 	kvDel
 )
 
-// parseOp splits op into verb, key and value. Verbs match case-insensitively;
-// the key (parts[1]) and value (parts[2], spaces preserved) are verbatim.
-func parseOp(op []byte) (verb kvVerb, key, value, rawVerb string) {
-	s := string(op)
-	if strings.TrimSpace(s) == "" {
-		return kvEmpty, "", "", ""
+// parseOp splits op into verb, key and value, as strings.SplitN(op, " ", 3)
+// would. Verbs match case-insensitively; the key and value (spaces
+// preserved) are verbatim. All three are subslices of op: callers convert
+// only what they keep, so a 4 KB PUT is not copied to a string to find its
+// key.
+func parseOp(op []byte) (verb kvVerb, key, value, rawVerb []byte) {
+	if len(bytes.TrimSpace(op)) == 0 {
+		return kvEmpty, nil, nil, nil
 	}
-	parts := strings.SplitN(s, " ", 3)
-	rawVerb = parts[0]
-	switch strings.ToUpper(rawVerb) {
-	case "PUT":
-		if len(parts) != 3 {
-			return kvBadPut, "", "", rawVerb
+	rawVerb, rest, hasKey := bytes.Cut(op, []byte(" "))
+	key, value, hasValue := bytes.Cut(rest, []byte(" "))
+	switch {
+	case bytes.EqualFold(rawVerb, []byte("PUT")):
+		if !hasValue {
+			return kvBadPut, nil, nil, rawVerb
 		}
-		return kvPut, parts[1], parts[2], rawVerb
-	case "GET":
-		if len(parts) != 2 {
-			return kvBadGet, "", "", rawVerb
+		return kvPut, key, value, rawVerb
+	case bytes.EqualFold(rawVerb, []byte("GET")):
+		if !hasKey || hasValue {
+			return kvBadGet, nil, nil, rawVerb
 		}
-		return kvGet, parts[1], "", rawVerb
-	case "DEL":
-		if len(parts) != 2 {
-			return kvBadDel, "", "", rawVerb
+		return kvGet, key, nil, rawVerb
+	case bytes.EqualFold(rawVerb, []byte("DEL")):
+		if !hasKey || hasValue {
+			return kvBadDel, nil, nil, rawVerb
 		}
-		return kvDel, parts[1], "", rawVerb
+		return kvDel, key, nil, rawVerb
 	default:
-		return kvUnknown, "", "", rawVerb
+		return kvUnknown, nil, nil, rawVerb
 	}
 }
 
@@ -217,16 +219,17 @@ func (kv *KV) Execute(_ types.ClientID, _ types.RequestID, op []byte) []byte {
 	verb, key, value, rawVerb := parseOp(op)
 	switch verb {
 	case kvPut:
+		// "key value" is the contiguous tail of op, so one string holds
+		// both. A map assignment replaces a string key too, so overwriting
+		// the key frees the old string rather than pinning it.
+		kvs := string(op[len(op)-len(key)-1-len(value):])
 		sh := kv.shardOf(key)
 		sh.mu.Lock()
-		sh.data[key] = value
+		sh.data[kvs[:len(key)]] = kvs[len(key)+1:]
 		sh.mu.Unlock()
 		return []byte("OK")
 	case kvGet:
-		sh := kv.shardOf(key)
-		sh.mu.Lock()
-		v, ok := sh.data[key]
-		sh.mu.Unlock()
+		v, ok := kv.get(key)
 		if !ok {
 			return []byte("NOT_FOUND")
 		}
@@ -234,7 +237,7 @@ func (kv *KV) Execute(_ types.ClientID, _ types.RequestID, op []byte) []byte {
 	case kvDel:
 		sh := kv.shardOf(key)
 		sh.mu.Lock()
-		delete(sh.data, key)
+		delete(sh.data, string(key))
 		sh.mu.Unlock()
 		return []byte("OK")
 	case kvEmpty:
@@ -250,6 +253,15 @@ func (kv *KV) Execute(_ types.ClientID, _ types.RequestID, op []byte) []byte {
 	}
 }
 
+// get looks key up in its shard, under the shard lock.
+func (kv *KV) get(key []byte) (string, bool) {
+	sh := kv.shardOf(key)
+	sh.mu.Lock()
+	v, ok := sh.data[string(key)]
+	sh.mu.Unlock()
+	return v, ok
+}
+
 // ExecuteRead implements ReadExecutor: a GET is answered from the key's
 // shard under its lock — the same bytes Execute would produce for the same
 // store state. Anything that is not a well-formed GET is not a read
@@ -259,10 +271,7 @@ func (kv *KV) ExecuteRead(op []byte) ([]byte, bool) {
 	if verb != kvGet {
 		return nil, false
 	}
-	sh := kv.shardOf(key)
-	sh.mu.Lock()
-	v, ok := sh.data[key]
-	sh.mu.Unlock()
+	v, ok := kv.get(key)
 	if !ok {
 		return []byte("NOT_FOUND"), true
 	}
@@ -276,9 +285,9 @@ func (kv *KV) Keys(op []byte) (reads, writes []string) {
 	verb, key, _, _ := parseOp(op)
 	switch verb {
 	case kvGet:
-		return []string{key}, nil
+		return []string{string(key)}, nil
 	case kvPut, kvDel:
-		return nil, []string{key}
+		return nil, []string{string(key)}
 	default:
 		return nil, nil
 	}

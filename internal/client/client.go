@@ -91,8 +91,9 @@ func (c *Client) NewReadRequest(op []byte, now time.Time) *message.Request {
 func (c *Client) issue(op []byte, readOnly bool, now, sentAt time.Time) *message.Request {
 	req := &message.Request{Client: c.cfg.ID, ID: c.nextID, Op: op, ReadOnly: readOnly}
 	c.nextID++
-	req.Sig = c.keys.Sign(req.SignedBody())
-	req.Auth = c.keys.AuthenticatorForNodes(c.cfg.Cluster.N, req.Body())
+	d := req.OpDigest()
+	req.Sig = c.keys.Sign(req.SignedBodyFor(d))
+	req.Auth = c.keys.AuthenticatorForNodes(c.cfg.Cluster.N, req.DigestBody(d))
 	p := &pending{
 		req:      req,
 		readOnly: readOnly,

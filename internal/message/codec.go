@@ -128,14 +128,14 @@ func (r *reader) bytes() []byte {
 		return nil
 	}
 	p := r.take(int(n))
-	if p == nil && n > 0 {
+	if p == nil {
 		return nil
 	}
-	// Present-but-empty fields decode to an empty (non-nil) slice so
-	// encode/decode round trips preserve shape.
-	out := make([]byte, len(p))
-	copy(out, p)
-	return out
+	// The field aliases the frame (see the package doc). Clipping its
+	// capacity makes an append reallocate rather than overwrite the bytes
+	// that follow. A present-but-empty field stays an empty, non-nil
+	// subslice, so encode/decode round trips preserve shape.
+	return p[:n:n]
 }
 
 func (r *reader) digest() types.Digest {
@@ -197,7 +197,9 @@ func (r *reader) done() error {
 	return nil
 }
 
-// Decode parses a full wire encoding back into a Message.
+// Decode parses a full wire encoding back into a Message. The message's byte
+// fields alias data, so data must not be reused or mutated afterwards, nor
+// those fields mutated in place (see the package doc).
 func Decode(data []byte) (Message, error) {
 	r := &reader{b: data}
 	t := Type(r.u8())
@@ -273,7 +275,7 @@ func decodeRequest(r *reader, readOnly bool) *Request {
 
 func decodePropagate(r *reader) *Propagate {
 	p := &Propagate{Node: types.NodeID(r.u64())}
-	inner := r.bytes()
+	inner := r.bytes() // a subslice of the frame: the sub-reader copies nothing
 	if r.err == nil {
 		ir := &reader{b: inner}
 		// Only ordinary requests may be propagated: read-only requests

@@ -5,14 +5,22 @@
 // covers the message body — the encoding of every field except the
 // authentication material itself — which the Body method exposes so senders
 // can authenticate and receivers can verify without re-implementing the
-// codec. REQUEST and PROPAGATE are the exception: their MACs cover the
-// request's op digest in place of the op (Request.Body), so a receiver
-// hashes each request once.
+// codec. REQUEST and PROPAGATE are the exception: their MACs, and the client
+// signature, cover the request's op digest in place of the op
+// (Request.Body, Request.SignedBody), so a receiver hashes each request once.
 //
 // Encoding is allocation-disciplined: every message knows its exact encoded
 // length (EncodedSize) and Marshal appends in place, so marshalling into a
 // buffer with sufficient capacity performs zero allocations. The egress hot
 // path relies on this via the pooled buffers in encode.go.
+//
+// Decoding is copy-free: every variable-length byte field of a decoded
+// message (Request.Op and Sig, Reply.Result, ViewChange.Sig, ...) is a
+// subslice of the frame passed to Decode, its capacity clipped to its length
+// so an append reallocates instead of overwriting the next field. The rule
+// for both sides follows: the caller hands Decode a buffer it will never
+// reuse or mutate (transport.Packet.Data is one, by contract), and nobody
+// mutates a decoded byte field in place — copy it first.
 package message
 
 import (
@@ -129,36 +137,56 @@ func (m *Request) OpDigest() types.Digest {
 	return crypto.DigestIDs(uint64(m.Client), uint64(m.ID), m.Op)
 }
 
-func (m *Request) signedBodySize() int { return 1 + 8 + 8 + 4 + len(m.Op) }
+// wireHeadSize is the encoded length of tag‖client‖id‖op, the part of a
+// request's wire encoding before its signature.
+func (m *Request) wireHeadSize() int { return 1 + 8 + 8 + 4 + len(m.Op) }
 
-func (m *Request) appendSignedBody(b []byte) []byte {
+func (m *Request) appendWireHead(b []byte) []byte {
 	b = appendU8(b, uint8(m.tag()))
 	b = appendU64(b, uint64(m.Client))
 	b = appendU64(b, uint64(m.ID))
 	return appendBytes(b, m.Op)
 }
 
-// SignedBody returns the portion of the request covered by the client
-// signature (everything except signature and authenticator).
-func (m *Request) SignedBody() []byte {
-	return m.appendSignedBody(make([]byte, 0, m.signedBodySize()))
-}
-
-func (m *Request) bodySize() int { return m.signedBodySize() + 4 + len(m.Sig) }
+func (m *Request) bodySize() int { return m.wireHeadSize() + 4 + len(m.Sig) }
 
 func (m *Request) appendBody(b []byte) []byte {
-	b = m.appendSignedBody(b)
+	b = m.appendWireHead(b)
 	return appendBytes(b, m.Sig)
 }
 
-func (m *Request) digestBodySize() int { return 1 + 8 + 8 + types.DigestSize + 4 + len(m.Sig) }
+// signedBodySize is the length of what the client signs:
+// tag‖client‖id‖OpDigest, fixed whatever the op's size.
+const signedBodySize = 1 + 8 + 8 + types.DigestSize
 
-func (m *Request) appendDigestBody(b []byte, d types.Digest) []byte {
+// appendSignedBody appends the signature input for d = m.OpDigest(). It is
+// the digest body (appendDigestBody) without its trailing ‖sig.
+func (m *Request) appendSignedBody(b []byte, d types.Digest) []byte {
 	b = appendU8(b, uint8(m.tag()))
 	b = appendU64(b, uint64(m.Client))
 	b = appendU64(b, uint64(m.ID))
-	b = appendDigest(b, d)
-	return appendBytes(b, m.Sig)
+	return appendDigest(b, d)
+}
+
+// SignedBody returns exactly the bytes the client signature covers:
+// tag‖client‖id‖OpDigest. Like the MAC (see Body), the signature covers the
+// op only through its SHA-256 digest, so signing and verifying cost the same
+// for an 8-byte op as for a 4 KB one; a forger who keeps a valid signature
+// while changing the op needs a second op with the same OpDigest, a SHA-256
+// collision that ordering already rules out. The tag is covered, so the
+// read-only flag cannot be flipped.
+func (m *Request) SignedBody() []byte { return m.SignedBodyFor(m.OpDigest()) }
+
+// SignedBodyFor is SignedBody for a caller that already holds
+// d = m.OpDigest(), so the op is not hashed again.
+func (m *Request) SignedBodyFor(d types.Digest) []byte {
+	return m.appendSignedBody(make([]byte, 0, signedBodySize), d)
+}
+
+func (m *Request) digestBodySize() int { return signedBodySize + 4 + len(m.Sig) }
+
+func (m *Request) appendDigestBody(b []byte, d types.Digest) []byte {
+	return appendBytes(m.appendSignedBody(b, d), m.Sig)
 }
 
 // Body implements Message. Unlike other messages, what a REQUEST's MAC
@@ -170,8 +198,11 @@ func (m *Request) appendDigestBody(b []byte, d types.Digest) []byte {
 // signature is caught at MAC cost; the tag is covered, so the read-only flag
 // cannot be flipped. Preverify, which already holds the digest, builds the
 // same bytes without hashing the op again.
-func (m *Request) Body() []byte {
-	return m.appendDigestBody(make([]byte, 0, m.digestBodySize()), m.OpDigest())
+func (m *Request) Body() []byte { return m.DigestBody(m.OpDigest()) }
+
+// DigestBody is Body for a caller that already holds d = m.OpDigest().
+func (m *Request) DigestBody(d types.Digest) []byte {
+	return m.appendDigestBody(make([]byte, 0, m.digestBodySize()), d)
 }
 
 // EncodedSize implements Message.
@@ -196,9 +227,9 @@ var _ Message = (*Propagate)(nil)
 // MsgType implements Message.
 func (m *Propagate) MsgType() Type { return TypePropagate }
 
-// innerSize is the length of the embedded request encoding (signed body plus
+// innerSize is the length of the embedded request encoding (wire head plus
 // signature, no client authenticator).
-func (m *Propagate) innerSize() int { return m.Req.signedBodySize() + 4 + len(m.Req.Sig) }
+func (m *Propagate) innerSize() int { return m.Req.bodySize() }
 
 func (m *Propagate) bodySize() int { return 1 + 8 + 4 + m.innerSize() }
 
@@ -206,8 +237,7 @@ func (m *Propagate) appendBody(b []byte) []byte {
 	b = appendU8(b, uint8(TypePropagate))
 	b = appendU64(b, uint64(m.Node))
 	b = appendU32(b, uint32(m.innerSize()))
-	b = m.Req.appendSignedBody(b)
-	return appendBytes(b, m.Req.Sig)
+	return m.Req.appendBody(b)
 }
 
 // DigestBody returns what the PROPAGATE's MAC authenticator covers, given

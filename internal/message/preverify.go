@@ -349,7 +349,7 @@ func (p *Preverifier) PreverifyNode(msg Message, from types.NodeID) (*Verified, 
 // digestBodyBuf sizes the stack buffer preverify builds REQUEST and
 // PROPAGATE MAC inputs in: a PROPAGATE's digest body with an Ed25519
 // signature. Longer (invalid) signatures spill to the heap.
-const digestBodyBuf = 1 + 8 + 1 + 8 + 8 + types.DigestSize + 4 + crypto.SignatureSize
+const digestBodyBuf = 1 + 8 + signedBodySize + 4 + crypto.SignatureSize
 
 // checkInstanceSender validates the claimed sender and instance id of a
 // per-instance protocol message.
@@ -369,7 +369,8 @@ func (p *Preverifier) checkInstanceSender(msg Message, from types.NodeID) error 
 
 // requestSigOK verifies the client signature of a request through the cache,
 // given d = req.OpDigest(). It reports whether the verdict was served from
-// cache. Only a miss materialises the signed body.
+// cache. A miss verifies over the fixed-size signed body (Request.SignedBody)
+// built on the stack from d, so the op is not read again.
 func (p *Preverifier) requestSigOK(req *Request, d types.Digest) (cached bool, err error) {
 	key := sigCacheKey(req.tag(), d, req.Sig)
 	if ok, hit := p.cache.lookup(key); hit {
@@ -378,7 +379,8 @@ func (p *Preverifier) requestSigOK(req *Request, d types.Digest) (cached bool, e
 		}
 		return true, nil
 	}
-	verr := p.ring.VerifyClientSignature(req.Client, req.SignedBody(), req.Sig)
+	var buf [signedBodySize]byte
+	verr := p.ring.VerifyClientSignature(req.Client, req.appendSignedBody(buf[:0], d), req.Sig)
 	p.cache.store(key, verr == nil)
 	if verr != nil {
 		return false, failKind(FailBadSig, verr)

@@ -357,3 +357,63 @@ func BenchmarkPreverifyMiss(b *testing.B) {
 		}
 	}
 }
+
+// TestFullBodySignatureRejected: the client signs tag‖client‖id‖OpDigest. A
+// signature over the full-op input (tag‖client‖id‖len‖op) is a different
+// message to Ed25519 and must fail, even under a valid MAC.
+func TestFullBodySignatureRejected(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	cl := ks.ClientRing(1)
+	req := &Request{Client: 1, ID: 7, Op: []byte("put k v")}
+	req.Sig = cl.Sign(req.appendWireHead(nil))
+	req.Auth = cl.AuthenticatorForNodes(testN, req.Body())
+	if _, err := pre.PreverifyClient(req, 1); FailKindOf(err) != FailBadSig {
+		t.Fatalf("full-body signature: got %v, want bad-sig", err)
+	}
+}
+
+// TestSignatureCoversRequestFields: changing any signed field of a request
+// (op, id, client, read-only flag) while keeping its signature fails the
+// signature check, even when the sender re-mints a valid MAC for the change.
+func TestSignatureCoversRequestFields(t *testing.T) {
+	ks := testKeys()
+	req := signedRequest(ks, 1, 8, []byte("put k v"))
+	for name, mutate := range map[string]func(r *Request){
+		"op":       func(r *Request) { r.Op = []byte("put k w") },
+		"id":       func(r *Request) { r.ID++ },
+		"client":   func(r *Request) { r.Client = 2 },
+		"readonly": func(r *Request) { r.ReadOnly = true },
+	} {
+		pre := newPreverifier(ks, 16)
+		changed := *req
+		mutate(&changed)
+		changed.Auth = ks.ClientRing(changed.Client).AuthenticatorForNodes(testN, changed.Body())
+		if _, err := pre.PreverifyClient(&changed, changed.Client); FailKindOf(err) != FailBadSig {
+			t.Errorf("%s changed under the old signature: got %v, want bad-sig", name, err)
+		}
+		if err := ks.NodeRing(0).VerifyClientSignature(changed.Client, changed.SignedBody(), changed.Sig); err == nil {
+			t.Errorf("%s changed: SignedBody still verifies", name)
+		}
+	}
+}
+
+// TestPropagateWithSwappedOpRejected: a faulty node swaps the op inside its
+// PROPAGATE and keeps the client signature. Under the MAC it computed over
+// the genuine request it fails at MAC cost; under a freshly minted MAC it
+// fails the signature check.
+func TestPropagateWithSwappedOpRejected(t *testing.T) {
+	ks := testKeys()
+	pre := newPreverifier(ks, 16)
+	req := signedRequest(ks, 1, 9, []byte("put k v"))
+	stale := propagateOf(ks, 1, req)
+	stale.Req.Op = []byte("put k w")
+	if _, err := pre.PreverifyNode(stale, 1); FailKindOf(err) != FailBadMAC {
+		t.Fatalf("swapped op under the old MAC: got %v, want bad-mac", err)
+	}
+	swapped := *req
+	swapped.Op = []byte("put k w")
+	if _, err := pre.PreverifyNode(propagateOf(ks, 1, &swapped), 1); FailKindOf(err) != FailBadSig {
+		t.Fatalf("swapped op under a fresh MAC: got %v, want bad-sig", err)
+	}
+}

@@ -427,6 +427,9 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if n > transport.MaxFrame {
 		return nil, transport.ErrFrameTooBig
 	}
+	// A fresh buffer per frame: the payloads delivered from it, batch-split
+	// ones included, alias it and belong to the receiver
+	// (transport.Packet.Data).
 	data := make([]byte, n)
 	if _, err := io.ReadFull(r, data); err != nil {
 		return nil, err

@@ -20,7 +20,12 @@ import (
 type Packet struct {
 	// From is the sender's claimed endpoint name.
 	From string
-	// Data is the frame payload.
+	// Data is the frame payload. It belongs to the receiver: the transport
+	// hands over a buffer of its own for each payload (payloads split out
+	// of one batch frame may share that frame's buffer) and never reuses or
+	// mutates it afterwards, however much traffic follows. The message
+	// decoder relies on this: decoded byte fields alias Data rather than
+	// copy it.
 	Data []byte
 }
 

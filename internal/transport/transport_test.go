@@ -388,3 +388,48 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliveredPayloadOwnedByReceiver pins the Packet.Data ownership
+// contract the copy-free message decoder relies on: a delivered payload,
+// whether sent alone or split out of a batch frame, keeps its bytes after
+// the sender reuses its buffers and after further traffic on the same link.
+func TestDeliveredPayloadOwnedByReceiver(t *testing.T) {
+	for name, mk := range impls() {
+		t.Run(name, func(t *testing.T) {
+			a, b := mk(t)
+			defer a.Close()
+			defer b.Close()
+			round := func(fill byte) ([][]byte, []transport.Packet) {
+				solo := bytes.Repeat([]byte{fill}, 300)
+				batch := [][]byte{bytes.Repeat([]byte{fill + 1}, 200), bytes.Repeat([]byte{fill + 2}, 100)}
+				want := [][]byte{append([]byte(nil), solo...), append([]byte(nil), batch[0]...), append([]byte(nil), batch[1]...)}
+				if err := a.Send("b", solo); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.(transport.BatchSender).SendBatch("b", batch); err != nil {
+					t.Fatal(err)
+				}
+				// The sender reuses its buffers as soon as the sends return.
+				for _, p := range append(batch, solo) {
+					for i := range p {
+						p[i] = 0xff
+					}
+				}
+				got := make([]transport.Packet, len(want))
+				for i := range got {
+					got[i] = recvOne(t, b)
+				}
+				return want, got
+			}
+			want, first := round(0x10)
+			for i := 0; i < 3; i++ {
+				round(byte(0x20 + 0x10*i))
+			}
+			for i, p := range first {
+				if !bytes.Equal(p.Data, want[i]) {
+					t.Fatalf("payload %d changed after further traffic: %x...", i, p.Data[:4])
+				}
+			}
+		})
+	}
+}

@@ -122,6 +122,8 @@ func (e *Endpoint) readLoop() {
 			continue
 		}
 		from := string(buf[2 : 2+nameLen])
+		// buf is reused for the next datagram, and a delivered payload
+		// belongs to the receiver (transport.Packet.Data): copy it out.
 		data := make([]byte, n-2-nameLen)
 		copy(data, buf[2+nameLen:n])
 		e.mu.RLock()

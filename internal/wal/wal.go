@@ -76,6 +76,7 @@ type Log struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // signals durableLSN / ioErr changes
 	buf     []byte     // guarded by mu; framed records awaiting sync
+	spare   []byte     // guarded by mu; last synced buffer, reused as the next buf
 	bufRecs uint64     // guarded by mu; records in buf
 	next    uint64     // guarded by mu; LSN to assign to the next record
 	durable uint64     // guarded by mu; records known durable
@@ -263,7 +264,6 @@ func (l *Log) Append(recs ...Record) (uint64, error) {
 		l.mu.Unlock()
 		return lsn, err
 	}
-	frames := EncodeRecords(nil, recs)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -273,7 +273,9 @@ func (l *Log) Append(recs ...Record) (uint64, error) {
 		l.mu.Unlock()
 		return 0, err
 	}
-	l.buf = append(l.buf, frames...)
+	// Encode straight into the pending buffer: each record is copied once,
+	// with no intermediate slice to grow and copy again.
+	l.buf = EncodeRecords(l.buf, recs)
 	l.bufRecs += uint64(len(recs))
 	l.next += uint64(len(recs))
 	lsn := l.next
@@ -403,7 +405,7 @@ func (l *Log) flusher() {
 		data := l.buf
 		nrecs := l.bufRecs
 		target := l.next
-		l.buf = nil
+		l.buf, l.spare = l.spare, nil
 		l.bufRecs = 0
 		l.mu.Unlock()
 
@@ -418,6 +420,12 @@ func (l *Log) flusher() {
 			}
 		} else {
 			l.durable = target
+		}
+		// Recycle the written buffer so the next batch fills it without
+		// growing from nil; one that grew past an early flush was a burst,
+		// and is left to the collector rather than kept.
+		if cap(data) <= l.opts.FlushBytes {
+			l.spare = data[:0]
 		}
 		l.cond.Broadcast()
 		l.mu.Unlock()

@@ -36,8 +36,8 @@ go test ./internal/exec -run '^$' -fuzz '^FuzzWaveSchedule$' -fuzztime 5s
 go test ./internal/client -run '^$' -fuzz '^FuzzReadQuorum$' -fuzztime 5s
 
 echo "== allocation gate (zero-alloc steady-state encode, docs/EGRESS.md; zero-alloc MACs, docs/PIPELINE.md) =="
-go test ./internal/message -run '^(TestEncodeZeroAlloc|TestAuthenticatorAllocs)$' -count=1 -v
-go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode|BenchmarkPreverifyHit|BenchmarkPreverifyMiss)$' -benchtime 100x -benchmem
+go test ./internal/message -run '^(TestEncodeZeroAlloc|TestAuthenticatorAllocs|TestDecodeAllocs)$' -count=1 -v
+go test ./internal/message -run '^$' -bench '^(BenchmarkMarshal|BenchmarkEncode|BenchmarkPreverifyHit|BenchmarkPreverifyMiss|BenchmarkDecodePropagate)$' -benchtime 100x -benchmem
 go test ./internal/crypto -run '^$' -bench '^BenchmarkAuthenticator$' -benchtime 100x -benchmem
 go test ./internal/runtime -run '^$' -bench '^BenchmarkEgress$' -benchtime 100x -benchmem
 
